@@ -226,6 +226,13 @@ impl DistConfig {
     }
 
     /// Switches the adjacency-cache eviction score to degree centrality.
+    ///
+    /// Known defect: the score does not reach the cache yet. Each read
+    /// passes the row's degree, but [`CacheSpec::resolve`] leaves
+    /// `ClampiConfig::scoring` at `ScorePolicy::LruPositional`, and under that
+    /// scoring the paper policy's victim score and admission ignore
+    /// application scores. Runs with and without this call therefore make the
+    /// same cache decisions. See "Picking one" in `docs/CACHE_POLICIES.md`.
     pub fn with_degree_scores(mut self) -> Self {
         self.score_mode = ScoreMode::DegreeCentrality;
         self

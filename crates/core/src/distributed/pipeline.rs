@@ -50,7 +50,7 @@
 use super::config::{DistConfig, ResolvedCaches, ScoreMode};
 use super::reader::{compressed_transfer_count_closing, transfer_count_closing};
 use super::windows::GraphWindows;
-use super::worker::WorkerOutput;
+use super::worker::{OverlapCredit, WorkerOutput};
 use crate::intersect::{CostModel, ParallelIntersector};
 use crate::local::{compressed_count_closing_at, count_closing_at};
 use rayon::prelude::*;
@@ -511,6 +511,10 @@ fn thread_loop<'a>(
     let depth = config.effective_pipeline_depth();
     let model = &config.cost_model;
     let compressed = reader.storage == GraphStorage::Compressed;
+    // As in the sequential worker: the issue-side work of remote rounds is
+    // lapped, and a row's laps are banked after it as overlap credit for
+    // upcoming completions.
+    let mut credit = OverlapCredit::new(config.double_buffering);
     for local_idx in range.clone() {
         let out = local_idx - range.start;
         let adj_u = part.neighbours_of_local(local_idx);
@@ -518,6 +522,7 @@ fn thread_loop<'a>(
             *edges_processed += 1;
             let owner = pg.partitioner.owner(v);
             if owner == rank {
+                credit.local();
                 let v_local = pg.partitioner.local_index(v);
                 let adj_v = part.neighbours_of_local(v_local);
                 triangles[out] += count_closing_at(direction, adj_u, adj_v, v, k, intersector);
@@ -525,7 +530,7 @@ fn thread_loop<'a>(
             }
             *remote_edges += 1;
             let v_local = pg.partitioner.local_index(v);
-            let compute_start = timer.elapsed_ns();
+            credit.remote();
             // The remote row arrives as stored: raw ids under plain storage,
             // compressed words under compressed storage — pick the matching
             // pair of in-place / fused-transfer kernels.
@@ -562,12 +567,8 @@ fn thread_loop<'a>(
                     });
                 }
             }
-            if config.double_buffering {
-                // As in the sequential worker: bank this round's issue-side
-                // compute as overlap credit for upcoming completions.
-                ep.note_compute_ns((timer.elapsed_ns() - compute_start) as f64);
-            }
         }
+        credit.bank(ep, timer);
     }
     // Drain the tail in issue order.
     while let Some(slot) = fifo.pop_front() {

@@ -3,6 +3,7 @@
 //! evaluation figures are built from.
 
 use super::config::DistConfig;
+use super::pipeline::worker_count;
 use super::worker::WorkerOutput;
 use crate::lcc;
 use rmatc_clampi::CacheStats;
@@ -28,6 +29,18 @@ impl TimingBreakdown {
     /// Total modeled running time of the rank.
     pub fn total_ns(&self) -> f64 {
         self.compute_ns + self.comm_ns + self.local_ns
+    }
+
+    /// The conservation identity of the overlap credit: hidden communication
+    /// never exceeds measured compute, because credit is only ever banked
+    /// from a thread's measured CPU time. `threads` is the rank's worker
+    /// thread count: `compute_ns` is the slowest thread while the RMA
+    /// counters sum over threads, so each thread may hide up to its own
+    /// compute. The small relative slack absorbs `f64` rounding in the
+    /// endpoint's credit arithmetic.
+    pub fn overlap_within_compute(&self, threads: usize) -> bool {
+        let bound = self.compute_ns * threads.max(1) as f64;
+        self.overlapped_ns <= bound * (1.0 + 1e-9)
     }
 
     /// Fraction of the total spent in (non-overlapped) communication.
@@ -192,7 +205,7 @@ impl DistResult {
 /// Combines worker outputs into the global [`DistResult`].
 pub fn assemble(
     pg: &PartitionedGraph,
-    _config: &DistConfig,
+    config: &DistConfig,
     outputs: Vec<WorkerOutput>,
 ) -> DistResult {
     let n = pg.global_vertex_count();
@@ -205,17 +218,25 @@ pub fn assemble(
             per_vertex_triangles[gv as usize] = out.local_triangles[local_idx];
             degrees[gv as usize] = part.csr.degree(local_idx as u32);
         }
+        let timing = TimingBreakdown {
+            compute_ns: out.compute_ns as f64,
+            comm_ns: out.rma.comm_time_ns,
+            local_ns: out.rma.local_time_ns,
+            overlapped_ns: out.rma.overlapped_ns,
+        };
+        debug_assert!(
+            timing.overlap_within_compute(worker_count(config, part.local_vertex_count())),
+            "rank {}: overlapped {} ns exceeds compute {} ns",
+            out.rank,
+            timing.overlapped_ns,
+            timing.compute_ns
+        );
         ranks.push(RankReport {
             rank: out.rank,
             local_vertices: part.local_vertex_count(),
             edges_processed: out.edges_processed,
             remote_edges: out.remote_edges,
-            timing: TimingBreakdown {
-                compute_ns: out.compute_ns as f64,
-                comm_ns: out.rma.comm_time_ns,
-                local_ns: out.rma.local_time_ns,
-                overlapped_ns: out.rma.overlapped_ns,
-            },
+            timing,
             rma: out.rma,
             offsets_cache: out.offsets_cache,
             adjacency_cache: out.adjacency_cache,

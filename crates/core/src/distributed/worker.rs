@@ -10,6 +10,7 @@ use crate::local::count_closing_at;
 use rmatc_clampi::CacheStats;
 use rmatc_graph::partition::PartitionedGraph;
 use rmatc_rma::{Endpoint, RankStats, RmaError, ThreadTimer};
+use std::time::{Duration, Instant};
 
 /// Everything a rank produces: its local triangle counts plus the statistics the
 /// evaluation aggregates.
@@ -32,6 +33,67 @@ pub struct WorkerOutput {
     pub edges_processed: u64,
     /// Edges whose destination lived on another rank (each required a remote read).
     pub remote_edges: u64,
+}
+
+/// The double-buffering credit of one edge loop (Algorithm 3's overlap of a
+/// remote get with the previous edge's intersection).
+///
+/// Remote rounds are lapped on the monotonic clock ([`Instant`], served by
+/// the vDSO without a system call). A lap opens at the first remote round
+/// after local work and closes at the next local edge or the row's end, so
+/// a run of consecutive remote rounds costs two clock reads; under block
+/// partitioning a row's remote neighbours are one such run per owner. The
+/// laps of one owned vertex are banked with a single
+/// [`Endpoint::note_compute_ns`] after its row, capped at the thread CPU
+/// time elapsed since the previous bank, so credit never exceeds measured
+/// compute — time a thread spends descheduled on an oversubscribed host does
+/// not count as overlap. The cap costs one [`ThreadTimer`] read per vertex
+/// that issued a remote round; with double buffering off nothing is read.
+pub(super) struct OverlapCredit {
+    enabled: bool,
+    lap_start: Option<Instant>,
+    laps: Duration,
+    banked_at_ns: u64,
+}
+
+impl OverlapCredit {
+    pub(super) fn new(enabled: bool) -> Self {
+        Self {
+            enabled,
+            lap_start: None,
+            laps: Duration::ZERO,
+            banked_at_ns: 0,
+        }
+    }
+
+    /// Call before each remote round: opens a lap unless one is open.
+    pub(super) fn remote(&mut self) {
+        if self.enabled && self.lap_start.is_none() {
+            self.lap_start = Some(Instant::now());
+        }
+    }
+
+    /// Call before each local edge: closes the open lap, if any.
+    pub(super) fn local(&mut self) {
+        if let Some(start) = self.lap_start.take() {
+            self.laps += start.elapsed();
+        }
+    }
+
+    /// Banks the laps gathered since the last call, capped at the CPU time
+    /// `timer` measured since then. Call once after each owned vertex's row.
+    pub(super) fn bank(&mut self, ep: &mut Endpoint, timer: &ThreadTimer) {
+        self.local();
+        if self.laps.is_zero() {
+            return;
+        }
+        let now_ns = timer.elapsed_ns();
+        let cpu_ns = now_ns.saturating_sub(self.banked_at_ns);
+        let lap_ns = self.laps.as_nanos() as u64;
+        ep.note_compute_ns(lap_ns.min(cpu_ns) as f64);
+        self.banked_at_ns = now_ns;
+        self.laps = Duration::ZERO;
+    }
 }
 
 /// Runs one rank of the asynchronous distributed LCC computation.
@@ -80,6 +142,7 @@ pub fn run_worker(
     // Passive-target access epoch: opened once, closed after the full computation —
     // no synchronization with any other rank in between.
     ep.lock_all();
+    let mut credit = OverlapCredit::new(config.double_buffering);
     let timer = ThreadTimer::start();
     for (local_idx, triangles_slot) in local_triangles.iter_mut().enumerate() {
         let adj_u = part.neighbours_of_local(local_idx);
@@ -92,6 +155,7 @@ pub fn run_worker(
             let owner = pg.partitioner.owner(v);
             let count = if owner == rank {
                 // Neighbour owned locally: its row is in this rank's partition.
+                credit.local();
                 let v_local = pg.partitioner.local_index(v);
                 let adj_v = part.neighbours_of_local(v_local);
                 triangles_for_edge(direction, adj_u, adj_v, v, k, &intersector)
@@ -101,8 +165,13 @@ pub fn run_worker(
                 // One fused protocol round: the remote row is intersected where
                 // it lives (cache entry on a hit) or in the same pass that
                 // lands it in the cache (miss) — no per-edge buffer is built.
-                let compute_start = timer.elapsed_ns();
-                let c = match reader.count_closing_remote(
+                // With double buffering the round joins the open lap: its
+                // probe, landing copy and intersection are the local work the
+                // paper hides behind the next in-flight get, banked once the
+                // row is done (`OverlapCredit`). The modeled communication
+                // cost is virtual time and never part of a lap.
+                credit.remote();
+                match reader.count_closing_remote(
                     &mut ep,
                     owner,
                     v_local,
@@ -119,23 +188,13 @@ pub fn run_worker(
                         ep.unlock_all();
                         return Err(e);
                     }
-                };
-                if config.double_buffering {
-                    // Double buffering: the computation of this edge overlaps the
-                    // communication of the next one, so bank its duration as overlap
-                    // credit for the endpoint's next get completions. The credit
-                    // deliberately covers the whole fused round — cache probe,
-                    // landing copy, intersection — because all of it is local CPU
-                    // work the paper's scheme hides behind the in-flight get; the
-                    // modeled communication cost itself is virtual time and is
-                    // never part of the measured duration.
-                    ep.note_compute_ns((timer.elapsed_ns() - compute_start) as f64);
                 }
-                c
             };
             triangles += count;
         }
         *triangles_slot = triangles;
+        // The row's laps become credit for the gets of the rows after it.
+        credit.bank(&mut ep, &timer);
     }
     let compute_ns = timer.elapsed_ns();
     ep.unlock_all();

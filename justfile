@@ -65,3 +65,14 @@ bench-smoke hist="bench-history":
     cargo bench -p rmatc-bench --bench cache_policy -- --repeat 3 --json BENCH_cache_policy.json --history {{hist}}/cache_policy.ndjson
     cargo bench -p rmatc-bench --bench service -- --repeat 3 --json BENCH_service.json --history {{hist}}/service.ndjson
     cargo run -p rmatc-bench --bin bench-diff -- {{hist}}/intersect.ndjson {{hist}}/local_lcc.ndjson {{hist}}/remote_read.ndjson {{hist}}/cache_policy.ndjson {{hist}}/service.ndjson
+
+# The repository benchmark (perfbench/README.md): every workload end to end,
+# each in a fresh process, 10 s per workload, untraced. Pass a seed to
+# compare runs: `just perfbench 2`.
+perfbench seed="1":
+    python3 perfbench/run.py --workload all --seed {{seed}} --seconds 10 --trace 0
+
+# Two same-seed traced runs per workload; fails when any count metric
+# (gets, bytes, cache counters, hit rates) differs between them.
+perfbench-selftest:
+    python3 perfbench/run.py --selftest --seed 1

@@ -108,18 +108,63 @@ fn offsets_cache_alone_already_saves_communication() {
 #[test]
 fn double_buffering_never_increases_charged_communication() {
     let g = skewed_graph();
-    let run = |db| {
-        let mut cfg = DistConfig::non_cached(4);
-        cfg.double_buffering = db;
-        DistLcc::new(cfg).run(&g)
-    };
-    let with = run(true);
-    let without = run(false);
-    let with_comm: f64 = with.ranks.iter().map(|r| r.timing.comm_ns).sum();
-    let without_comm: f64 = without.ranks.iter().map(|r| r.timing.comm_ns).sum();
-    assert!(with_comm <= without_comm + 1e-3);
-    let overlapped: f64 = with.ranks.iter().map(|r| r.timing.overlapped_ns).sum();
-    assert!(overlapped > 0.0, "double buffering must hide some latency");
+    // 8 rank threads oversubscribe a small host: a descheduled thread's
+    // wall-clock laps must not turn into overlap beyond its measured CPU.
+    for ranks in [4, 8] {
+        let run = |db| {
+            let mut cfg = DistConfig::non_cached(ranks);
+            cfg.double_buffering = db;
+            DistLcc::new(cfg).run(&g)
+        };
+        let with = run(true);
+        let without = run(false);
+        let with_comm: f64 = with.ranks.iter().map(|r| r.timing.comm_ns).sum();
+        let without_comm: f64 = without.ranks.iter().map(|r| r.timing.comm_ns).sum();
+        assert!(with_comm <= without_comm + 1e-3, "ranks = {ranks}");
+        let overlapped: f64 = with.ranks.iter().map(|r| r.timing.overlapped_ns).sum();
+        assert!(overlapped > 0.0, "double buffering must hide some latency");
+        for r in &with.ranks {
+            // One thread per rank: overlapped_ns <= compute_ns.
+            assert!(
+                r.timing.overlap_within_compute(1),
+                "ranks = {ranks}, rank {}: overlapped {} ns > compute {} ns",
+                r.rank,
+                r.timing.overlapped_ns,
+                r.timing.compute_ns
+            );
+        }
+    }
+}
+
+#[test]
+fn double_buffering_reads_the_cpu_clock_once_per_vertex() {
+    use rmatc::core::distributed::worker::run_worker;
+    use rmatc::core::distributed::GraphWindows;
+    use rmatc::rma::cputime::thread_cpu_clock_reads;
+
+    let g = RmatGenerator::paper(9, 16).generate_cleaned(3).into_csr();
+    let pg = PartitionedGraph::from_global(&g, PartitionScheme::Block1D, 2).unwrap();
+    let sequential = DistConfig::non_cached(2);
+    let windows = GraphWindows::build_with(&pg, sequential.storage);
+    let owned = pg.partitions[0].local_vertex_count() as u64;
+    assert!(sequential.double_buffering);
+    // One intra-rank thread runs inline on this thread, so its clock reads
+    // land in this thread's counter too.
+    let overlapped = sequential.with_pipeline_depth(2).with_intra_threads(1);
+    for (name, cfg) in [("sequential", sequential), ("overlapped", overlapped)] {
+        let before = thread_cpu_clock_reads();
+        let out = run_worker(0, &pg, &windows, &cfg).unwrap();
+        let reads = thread_cpu_clock_reads() - before;
+        assert!(out.remote_edges > owned, "{name}: too few remote edges");
+        assert!(out.rma.overlapped_ns > 0.0, "{name}: no overlap credit");
+        // Start, end, and at most one capped bank per owned vertex.
+        assert!(
+            reads <= owned + 2,
+            "{name}: {reads} CPU-clock reads for {owned} owned vertices \
+             and {} remote edges",
+            out.remote_edges
+        );
+    }
 }
 
 #[test]

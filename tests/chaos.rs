@@ -382,8 +382,10 @@ fn fault_schedules_are_deterministic_across_runs() {
         let mut cfg = DistConfig::non_cached(4)
             .with_faults(plan)
             .with_retry(patient_retries());
-        // Double buffering's overlap credit depends on measured wall-clock
-        // compute; off, the modeled communication time is exactly replayable.
+        // Double buffering's overlap credit is timed: each remote round is
+        // lapped on the monotonic clock and capped at the thread's CPU
+        // time, so it varies run to run. Off, no credit is banked and the
+        // modeled communication time is exactly replayable.
         cfg.double_buffering = false;
         DistLcc::new(cfg).try_run(&g).expect("recoverable")
     };

@@ -6,9 +6,10 @@ use crate::adaptive::{AdaptiveAction, AdaptiveState};
 use crate::config::{ClampiConfig, ConsistencyMode};
 use crate::entry::{Entry, EntryKey};
 use crate::freelist::FreeList;
-use crate::policy::{EntryView, EvictionPolicy, EvictionPolicyKind, PolicyContext};
+use crate::policy::{AnyPolicy, EntryView, EvictionPolicy, EvictionPolicyKind, PolicyContext};
 use crate::stats::CacheStats;
 use std::collections::HashSet;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 /// Result of trying to insert a missed region into the cache.
@@ -30,6 +31,77 @@ pub enum CacheInsertOutcome {
 /// the hash tables (Section III-B1).
 const WAYS: usize = 4;
 
+/// Occupied candidates the victim sampler scores per eviction.
+const SAMPLES: usize = 16;
+
+/// Probes the victim sampler draws and tests at once.
+const PROBE_BATCH: usize = 8;
+
+/// Division-free `x % n` for a 32-bit `x` and one fixed `n`, by the direct
+/// remainder computation of Lemire, Kaser and Kurz, *Faster Remainder by
+/// Direct Computation* (2019): with `M = ceil(2^64 / n)`, `x % n` is the high
+/// half of `(M · x mod 2^64) · n`, exact for every `x` and `n` below `2^32`.
+/// The victim sampler's draws are 32-bit, so this replaces its `%` exactly.
+#[derive(Debug, Clone, Copy)]
+struct Remainder {
+    n: u64,
+    /// `ceil(2^64 / n)` for `n < 2^32` (wrapped to 0 for `n = 1`).
+    magic: u64,
+}
+
+impl Remainder {
+    fn new(n: usize) -> Self {
+        let n = n as u64;
+        let magic = if n <= u32::MAX as u64 {
+            (u64::MAX / n).wrapping_add(1)
+        } else {
+            0
+        };
+        Self { n, magic }
+    }
+
+    /// `x % n`.
+    #[inline]
+    fn of(&self, x: u32) -> usize {
+        if self.n > u32::MAX as u64 {
+            // Every 32-bit value is already below `n`.
+            return x as usize;
+        }
+        let low = self.magic.wrapping_mul(x as u64);
+        ((low as u128 * self.n as u128) >> 64) as usize
+    }
+}
+
+/// Hasher of the compulsory-miss set. A key is four integers and the set only
+/// answers membership, so one folded 64×64→128-bit multiply per integer
+/// replaces SipHash's rounds. The hash is unkeyed: an input graph built to
+/// make keys collide could slow the miss path, but never change a decision.
+#[derive(Debug, Default, Clone, Copy)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(b as u64);
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, v: u64) {
+        let product = ((self.0 ^ v) as u128) * 0x9e37_79b9_7f4a_7c15;
+        self.0 = (product as u64) ^ ((product >> 64) as u64);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, v: usize) {
+        self.write_u64(v as u64);
+    }
+}
+
 /// One CLaMPI cache instance: in the paper there are two per rank, `C_offsets` over
 /// the offsets window and `C_adj` over the adjacencies window.
 #[derive(Debug)]
@@ -38,11 +110,16 @@ pub struct Clampi<T> {
     /// Hash-table slots; each occupied slot owns its entry, as in CLaMPI where the
     /// hash table indexes the cached regions directly.
     slots: Vec<Option<Entry<T>>>,
+    /// Division-free `% slots.len()` for the victim sampler.
+    sample_mod: Remainder,
+    /// One bit per slot, set while the slot holds an entry: the victim sampler
+    /// tests its probes here instead of touching the slots.
+    occupancy: Vec<u64>,
     freelist: FreeList,
     clock: u64,
     stats: CacheStats,
     /// Keys ever requested, for compulsory-miss accounting.
-    seen: HashSet<EntryKey>,
+    seen: HashSet<EntryKey, BuildHasherDefault<KeyHasher>>,
     adaptive: AdaptiveState,
     occupied: usize,
     occupied_bytes: usize,
@@ -53,20 +130,23 @@ pub struct Clampi<T> {
     /// victim score, admission decision and eviction notification goes
     /// through it; the default [`PaperScore`](crate::policy::PaperScore)
     /// reproduces the paper's behaviour bit-for-bit.
-    policy: Box<dyn EvictionPolicy>,
+    policy: AnyPolicy,
 }
 
 impl<T: Clone> Clampi<T> {
     /// Creates a cache with the given configuration.
     pub fn new(config: ClampiConfig) -> Self {
+        let table_slots = config.table_slots.max(1);
         let mut slots = Vec::new();
-        slots.resize_with(config.table_slots.max(1), || None);
+        slots.resize_with(table_slots, || None);
         Self {
-            freelist: FreeList::new(config.capacity_bytes),
+            freelist: FreeList::with_cell_size(config.capacity_bytes, std::mem::size_of::<T>()),
             slots,
+            sample_mod: Remainder::new(table_slots),
+            occupancy: vec![0; table_slots.div_ceil(64)],
             clock: 0,
             stats: CacheStats::default(),
-            seen: HashSet::new(),
+            seen: HashSet::default(),
             adaptive: AdaptiveState::default(),
             occupied: 0,
             occupied_bytes: 0,
@@ -206,7 +286,18 @@ impl<T: Clone> Clampi<T> {
         user_score: f64,
         checksum: Option<u64>,
     ) -> CacheInsertOutcome {
-        let data: Arc<[T]> = data.into();
+        let outcome = self.insert_data(key, data.into(), user_score, checksum);
+        self.debug_assert_conserved();
+        outcome
+    }
+
+    fn insert_data(
+        &mut self,
+        key: EntryKey,
+        data: Arc<[T]>,
+        user_score: f64,
+        checksum: Option<u64>,
+    ) -> CacheInsertOutcome {
         let bytes = data.len() * std::mem::size_of::<T>();
         self.stats.bytes_from_network += bytes as u64;
         if bytes > self.freelist.capacity() {
@@ -326,11 +417,11 @@ impl<T: Clone> Clampi<T> {
             bytes,
             last_access: self.clock,
             user_score,
-            slot,
             checksum,
             hits: 1,
             priority,
         });
+        self.occupancy[slot / 64] |= 1 << (slot % 64);
         self.occupied += 1;
         self.occupied_bytes += bytes;
         if evicted == 0 {
@@ -350,6 +441,7 @@ impl<T: Clone> Clampi<T> {
             if self.slots[slot].as_ref().is_some_and(|e| e.key == key) {
                 self.evict_slot(slot);
                 self.stats.invalidations += 1;
+                self.debug_assert_conserved();
                 return true;
             }
         }
@@ -366,6 +458,26 @@ impl<T: Clone> Clampi<T> {
         }
         self.policy.on_flush();
         self.stats.flushes += 1;
+        self.debug_assert_conserved();
+    }
+
+    /// Debug-build check of the buffer and index bookkeeping: occupied plus
+    /// free bytes is the capacity, and the occupancy bitmap counts exactly
+    /// the resident entries.
+    fn debug_assert_conserved(&self) {
+        debug_assert_eq!(
+            self.occupied_bytes + self.freelist.total_free(),
+            self.freelist.capacity(),
+            "occupied + free bytes must equal the buffer capacity"
+        );
+        debug_assert_eq!(
+            self.occupancy
+                .iter()
+                .map(|w| w.count_ones() as usize)
+                .sum::<usize>(),
+            self.occupied,
+            "occupancy bitmap must count the resident entries"
+        );
     }
 
     /// Signals the closure of an access epoch. In `Transparent` mode this flushes the
@@ -393,29 +505,54 @@ impl<T: Clone> Clampi<T> {
     /// scale of the LCC experiments an exhaustive scan per eviction is too slow, so
     /// we sample a bounded number of occupied slots and evict the best-scoring one —
     /// the standard approximation of weighted-LRU victim selection.
+    ///
+    /// The sample is a fixed function of the RNG stream: probe `i` is draw `i`
+    /// modulo the table size, skipped when it is `protect` or empty, until
+    /// [`SAMPLES`] occupied candidates were scored or 8·slots probes drawn.
+    /// Probes are drawn [`PROBE_BATCH`] at a time and tested against the
+    /// occupancy bitmap without branches; the generator is then rewound to
+    /// the state after the last probe the bounds let the sample consume, so
+    /// the stream, the candidates and their order match drawing one at a time.
     fn pick_victim_slot(&mut self, protect: usize) -> Option<usize> {
         if self.occupied == 0 || (self.occupied == 1 && self.slots[protect].is_some()) {
             return None;
         }
-        const SAMPLES: usize = 16;
         let nslots = self.slots.len();
+        let max_attempts = nslots.saturating_mul(8).max(64);
         let mut best: Option<(usize, f64)> = None;
         let mut inspected = 0usize;
         let mut attempts = 0usize;
-        // Bounded sampling: at most 16 occupied candidates or 8·slots probes.
-        while inspected < SAMPLES && attempts < nslots.saturating_mul(8).max(64) {
-            attempts += 1;
-            let idx = self.next_random() % nslots;
-            if idx == protect {
-                continue;
+        while inspected < SAMPLES && attempts < max_attempts {
+            let batch = PROBE_BATCH.min(max_attempts - attempts);
+            let mut states = [0u64; PROBE_BATCH];
+            let mut probes = [0usize; PROBE_BATCH];
+            let mut candidates = 0u32;
+            let mut x = self.rng_state;
+            for j in 0..batch {
+                x = xorshift(x);
+                let idx = self.sample_mod.of(scramble(x));
+                states[j] = x;
+                probes[j] = idx;
+                let occupied = (self.occupancy[idx / 64] >> (idx % 64)) as u32 & 1;
+                candidates |= (occupied & (idx != protect) as u32) << j;
             }
-            if let Some(entry) = &self.slots[idx] {
+            let mut consumed = batch;
+            while candidates != 0 {
+                let j = candidates.trailing_zeros() as usize;
+                candidates &= candidates - 1;
+                let idx = probes[j];
                 inspected += 1;
-                let score = self.victim_score(entry);
+                let score = self.victim_score(self.slots[idx].as_ref().expect("occupied slot"));
                 if best.map(|(_, s)| score > s).unwrap_or(true) {
                     best = Some((idx, score));
                 }
+                if inspected == SAMPLES {
+                    consumed = j + 1;
+                    break;
+                }
             }
+            self.rng_state = states[consumed - 1];
+            attempts += consumed;
         }
         if best.is_none() {
             // Sampling failed (extremely sparse occupancy); fall back to a scan.
@@ -449,6 +586,7 @@ impl<T: Clone> Clampi<T> {
 
     fn evict_slot(&mut self, slot: usize) {
         if let Some(entry) = self.slots[slot].take() {
+            self.occupancy[slot / 64] &= !(1 << (slot % 64));
             self.freelist.free(entry.addr, entry.bytes);
             self.occupied -= 1;
             self.occupied_bytes -= entry.bytes;
@@ -469,6 +607,8 @@ impl<T: Clone> Clampi<T> {
                 self.flush();
                 self.slots = Vec::new();
                 self.slots.resize_with(new_slots, || None);
+                self.sample_mod = Remainder::new(new_slots);
+                self.occupancy = vec![0; new_slots.div_ceil(64)];
                 self.config.table_slots = new_slots;
                 self.stats.table_resizes += 1;
             }
@@ -501,16 +641,20 @@ impl<T: Clone> Clampi<T> {
         }
         false
     }
+}
 
-    /// xorshift64* — deterministic, cheap, good enough for victim sampling.
-    fn next_random(&mut self) -> usize {
-        let mut x = self.rng_state;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.rng_state = x;
-        (x.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 32) as usize
-    }
+/// One step of the victim sampler's xorshift64* generator: deterministic,
+/// cheap, good enough for victim sampling.
+fn xorshift(mut x: u64) -> u64 {
+    x ^= x >> 12;
+    x ^= x << 25;
+    x ^= x >> 27;
+    x
+}
+
+/// The xorshift64* output of state `x`: its high 32 bits after the multiply.
+fn scramble(x: u64) -> u32 {
+    (x.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 32) as u32
 }
 
 #[cfg(test)]
@@ -524,6 +668,81 @@ mod tests {
 
     fn cache(capacity: usize, slots: usize) -> Clampi<u32> {
         Clampi::new(ClampiConfig::always_cache(capacity, slots))
+    }
+
+    #[test]
+    fn remainder_matches_the_hardware_remainder() {
+        let mut x = 0x1234_5678_9abc_def0u64;
+        let mut sizes = vec![1usize, 2, 3, 7, 64, 1013, 1 << 24, u32::MAX as usize];
+        for _ in 0..200 {
+            x = xorshift(x);
+            sizes.push(1 + (x % (1 << 26)) as usize);
+        }
+        for n in sizes {
+            let r = Remainder::new(n);
+            for v in [0u32, 1, u32::MAX, u32::MAX - 1, n as u32] {
+                assert_eq!(r.of(v), v as usize % n, "{v} % {n}");
+            }
+            for _ in 0..200 {
+                x = xorshift(x);
+                let v = scramble(x);
+                assert_eq!(r.of(v), v as usize % n, "{v} % {n}");
+            }
+        }
+        // Tables wider than every 32-bit draw leave the draw unchanged.
+        assert_eq!(Remainder::new(1 << 40).of(u32::MAX), u32::MAX as usize);
+    }
+
+    /// The victim sampler as specified: one draw at a time, a `%` per
+    /// probe. Returns the victim and the generator state it leaves behind.
+    fn sample_one_draw_at_a_time(c: &Clampi<u32>, protect: usize) -> (Option<usize>, u64) {
+        let nslots = c.slots.len();
+        let mut state = c.rng_state;
+        let (mut inspected, mut attempts) = (0, 0);
+        let mut best: Option<(usize, f64)> = None;
+        while inspected < SAMPLES && attempts < nslots.saturating_mul(8).max(64) {
+            attempts += 1;
+            state = xorshift(state);
+            let idx = scramble(state) as usize % nslots;
+            if idx == protect {
+                continue;
+            }
+            if let Some(entry) = &c.slots[idx] {
+                inspected += 1;
+                let score = c.victim_score(entry);
+                if best.map(|(_, s)| score > s).unwrap_or(true) {
+                    best = Some((idx, score));
+                }
+            }
+        }
+        (best.map(|(idx, _)| idx), state)
+    }
+
+    #[test]
+    fn batched_sampling_matches_drawing_one_probe_at_a_time() {
+        // Sparse tables end samples on the attempt bound, dense ones on the
+        // sample bound, mid-batch.
+        for (slots, entries) in [(8usize, 3usize), (64, 5), (64, 60), (4096, 2), (4096, 3000)] {
+            let mut c = cache(1 << 20, slots);
+            for i in 0..entries * 4 {
+                if c.len() >= entries {
+                    break;
+                }
+                c.insert(key(i * 4, 4), vec![0; 4], 0.0);
+                for _ in 0..i % 3 {
+                    let _ = c.lookup(key(i * 4, 4));
+                }
+            }
+            assert!(c.len() >= 2);
+            for protect in [0, slots / 2, slots - 1] {
+                let (expected, state) = sample_one_draw_at_a_time(&c, protect);
+                let got = c.pick_victim_slot(protect);
+                assert_eq!(c.rng_state, state, "{slots} slots, {entries} entries");
+                if expected.is_some() {
+                    assert_eq!(got, expected, "{slots} slots, {entries} entries");
+                }
+            }
+        }
     }
 
     #[test]

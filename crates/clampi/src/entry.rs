@@ -65,8 +65,6 @@ pub struct Entry<T> {
     pub last_access: u64,
     /// Application-defined score; `0.0` when the application passes none.
     pub user_score: f64,
-    /// Hash-table slot occupied by this entry.
-    pub slot: usize,
     /// Integrity stamp of the transfer this entry retains, computed at the
     /// source window when fault injection is enabled; `None` on fault-free
     /// runs (verification is skipped entirely).

@@ -70,7 +70,7 @@ pub use cache::{CacheInsertOutcome, Clampi};
 pub use cached_window::CachedWindow;
 pub use config::{ClampiConfig, ConsistencyMode, ScorePolicy};
 pub use entry::EntryKey;
-pub use policy::{EntryView, EvictionPolicy, EvictionPolicyKind, PolicyContext};
+pub use policy::{AnyPolicy, EntryView, EvictionPolicy, EvictionPolicyKind, PolicyContext};
 pub use row::RowRef;
 pub use sharded::ShardedClampi;
 pub use sharded_window::{CacheProbe, ShardedCachedWindow};

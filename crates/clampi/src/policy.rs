@@ -21,9 +21,11 @@
 //!
 //! Policies are selected by [`EvictionPolicyKind`] on
 //! [`ClampiConfig::policy`](crate::ClampiConfig::policy); the cache owns one
-//! boxed policy instance and reports its decisions through the usual
-//! [`CacheStats`](crate::CacheStats) counters (plus the policy-attributed
-//! `evicted_bytes` / `admission_rejections` counters added with this layer).
+//! [`AnyPolicy`] (an enum over the four, so every decision is a direct,
+//! inlinable call rather than a virtual one) and reports its decisions
+//! through the usual [`CacheStats`](crate::CacheStats) counters (plus the
+//! policy-attributed `evicted_bytes` / `admission_rejections` counters added
+//! with this layer).
 
 use crate::config::{ClampiConfig, ScorePolicy};
 use crate::freelist::FreeList;
@@ -66,13 +68,81 @@ impl EvictionPolicyKind {
     }
 
     /// Builds a fresh policy instance of this kind.
-    pub fn build(&self) -> Box<dyn EvictionPolicy> {
+    pub fn build(&self) -> AnyPolicy {
         match self {
-            EvictionPolicyKind::PaperScore => Box::new(PaperScore),
-            EvictionPolicyKind::Lru => Box::new(Lru),
-            EvictionPolicyKind::Lfu => Box::new(Lfu),
-            EvictionPolicyKind::Gdsf => Box::new(Gdsf::default()),
+            EvictionPolicyKind::PaperScore => AnyPolicy::PaperScore(PaperScore),
+            EvictionPolicyKind::Lru => AnyPolicy::Lru(Lru),
+            EvictionPolicyKind::Lfu => AnyPolicy::Lfu(Lfu),
+            EvictionPolicyKind::Gdsf => AnyPolicy::Gdsf(Gdsf::default()),
         }
+    }
+}
+
+/// One of the four shipped policies, as [`EvictionPolicyKind::build`] makes
+/// it. The set is closed, so the cache holds this enum instead of a
+/// `Box<dyn EvictionPolicy>`: the per-victim score is a match the compiler
+/// can inline into the sampling loop.
+#[derive(Debug, Clone, Copy)]
+pub enum AnyPolicy {
+    /// [`PaperScore`].
+    PaperScore(PaperScore),
+    /// [`Lru`].
+    Lru(Lru),
+    /// [`Lfu`].
+    Lfu(Lfu),
+    /// [`Gdsf`].
+    Gdsf(Gdsf),
+}
+
+/// Calls `$body` with `$p` bound to the policy inside `$self`.
+macro_rules! dispatch {
+    ($self:expr, $p:ident => $body:expr) => {
+        match $self {
+            AnyPolicy::PaperScore($p) => $body,
+            AnyPolicy::Lru($p) => $body,
+            AnyPolicy::Lfu($p) => $body,
+            AnyPolicy::Gdsf($p) => $body,
+        }
+    };
+}
+
+impl EvictionPolicy for AnyPolicy {
+    fn kind(&self) -> EvictionPolicyKind {
+        dispatch!(self, p => p.kind())
+    }
+
+    #[inline]
+    fn victim_score(&self, entry: EntryView, ctx: &PolicyContext<'_>) -> f64 {
+        dispatch!(self, p => p.victim_score(entry, ctx))
+    }
+
+    #[inline]
+    fn priority_on_insert(&mut self, entry: EntryView, ctx: &PolicyContext<'_>) -> f64 {
+        dispatch!(self, p => p.priority_on_insert(entry, ctx))
+    }
+
+    #[inline]
+    fn priority_on_hit(&mut self, entry: EntryView, ctx: &PolicyContext<'_>) -> f64 {
+        dispatch!(self, p => p.priority_on_hit(entry, ctx))
+    }
+
+    #[inline]
+    fn admits(
+        &self,
+        candidate_score: f64,
+        candidate_bytes: usize,
+        victim: EntryView,
+        ctx: &PolicyContext<'_>,
+    ) -> bool {
+        dispatch!(self, p => p.admits(candidate_score, candidate_bytes, victim, ctx))
+    }
+
+    fn on_evict(&mut self, victim: EntryView) {
+        dispatch!(self, p => p.on_evict(victim))
+    }
+
+    fn on_flush(&mut self) {
+        dispatch!(self, p => p.on_flush())
     }
 }
 

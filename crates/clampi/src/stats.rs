@@ -91,6 +91,19 @@ impl CacheStats {
         }
     }
 
+    /// The conservation identities every cache maintains at every point:
+    /// `compulsory_misses ≤ misses` (a first request is a miss),
+    /// `admission_rejections ≤ uncacheable` (a rejected insert is one kind of
+    /// miss whose data was not stored) and `evicted_bytes ≤
+    /// bytes_from_network` (only inserted bytes can be evicted, and every
+    /// inserted byte came off the network). `lookups = hits + misses` holds by
+    /// construction of [`CacheStats::lookups`].
+    pub fn reconciles(&self) -> bool {
+        self.compulsory_misses <= self.misses
+            && self.admission_rejections <= self.uncacheable
+            && self.evicted_bytes <= self.bytes_from_network
+    }
+
     /// Total evictions.
     pub fn evictions(&self) -> u64 {
         self.capacity_evictions + self.conflict_evictions
@@ -158,6 +171,37 @@ mod tests {
         assert!((s.hit_rate() + s.miss_rate() - 1.0).abs() < 1e-12);
         assert!((s.compulsory_miss_rate() - 0.2).abs() < 1e-12);
         assert_eq!(s.lookups(), 100);
+    }
+
+    #[test]
+    fn reconciles_checks_each_identity() {
+        let ok = CacheStats {
+            misses: 5,
+            compulsory_misses: 5,
+            uncacheable: 2,
+            admission_rejections: 2,
+            bytes_from_network: 64,
+            evicted_bytes: 64,
+            ..Default::default()
+        };
+        assert!(ok.reconciles());
+        assert!(CacheStats::default().reconciles());
+        for broken in [
+            CacheStats {
+                compulsory_misses: 6,
+                ..ok.clone()
+            },
+            CacheStats {
+                admission_rejections: 3,
+                ..ok.clone()
+            },
+            CacheStats {
+                evicted_bytes: 65,
+                ..ok.clone()
+            },
+        ] {
+            assert!(!broken.reconciles(), "{broken:?}");
+        }
     }
 
     #[test]

@@ -1,8 +1,12 @@
-//! Differential proof that the [`EvictionPolicy`](rmatc_clampi::EvictionPolicy)
-//! refactor changed nothing: `reference::ReferenceCache` below is a faithful
-//! copy of the cache as it was *before* victim selection moved behind the
-//! trait (same arithmetic, same RNG, same stats ordering), and the proptests
-//! replay arbitrary insert/get interleavings against both, asserting
+//! Differential proof that the cache's refactors changed no decision:
+//! `reference::ReferenceCache` below is a faithful copy of the cache as it
+//! was *before* victim selection moved behind the
+//! [`EvictionPolicy`](rmatc_clampi::EvictionPolicy) trait and before its
+//! miss path was rebuilt: the `BTreeMap` free list of
+//! `support/reference_freelist.rs`, victims sampled one draw at a time with
+//! a `%` per probe, SipHash for the compulsory-miss set, and the
+//! same arithmetic, RNG and stats ordering. The proptests and a long
+//! fixed-seed trace replay insert/get interleavings against both, asserting
 //! decision-for-decision equality — every lookup result, every insert
 //! outcome, every counter, under both score policies and with the adaptive
 //! heuristic on or off.
@@ -11,17 +15,20 @@
 //! the split is the identity, so it must match a plain [`Clampi`] the same
 //! way.
 
+mod support;
+
 use proptest::prelude::*;
 use rmatc_clampi::cache::CacheInsertOutcome;
 use rmatc_clampi::{Clampi, ClampiConfig, EntryKey, ShardedClampi};
 use rmatc_rma::WindowId;
 
-/// The cache exactly as it stood before the policy trait: victim scores,
-/// admission control and sampled victim selection inlined, operating on the
-/// same (unchanged) `FreeList` and `AdaptiveState` building blocks.
+/// The cache exactly as it stood before the policy trait and the bitmap
+/// allocator: victim scores, admission control and sampled victim selection
+/// inlined, over the reference `BTreeMap` free list and the unchanged
+/// `AdaptiveState`.
 mod reference {
+    use crate::support::reference_freelist::FreeList;
     use rmatc_clampi::adaptive::{AdaptiveAction, AdaptiveState};
-    use rmatc_clampi::freelist::FreeList;
     use rmatc_clampi::{ClampiConfig, ConsistencyMode, EntryKey, ScorePolicy};
     use std::collections::HashSet;
     use std::sync::Arc;
@@ -100,6 +107,10 @@ mod reference {
 
         pub fn occupied_bytes(&self) -> usize {
             self.occupied_bytes
+        }
+
+        pub fn fragmentation(&self) -> f64 {
+            self.freelist.fragmentation()
         }
 
         fn probe_slots(&self, key: &EntryKey) -> ([usize; WAYS], usize) {
@@ -398,6 +409,113 @@ fn assert_stats_match(
     Ok(())
 }
 
+/// Looks `key(offset, len)` up in both caches and, on a miss, inserts `len`
+/// words with `score` into both, failing on the first diverging decision.
+fn access_both(
+    live: &mut Clampi<u32>,
+    reference: &mut reference::ReferenceCache,
+    offset: usize,
+    len: usize,
+    score: f64,
+    i: usize,
+) -> Result<(), TestCaseError> {
+    let k = key(offset, len);
+    let live_hit = live.lookup(k);
+    let ref_hit = reference.lookup(k);
+    prop_assert_eq!(
+        live_hit.is_some(),
+        ref_hit.is_some(),
+        "lookup {} diverged",
+        i
+    );
+    if let (Some(a), Some(b)) = (&live_hit, &ref_hit) {
+        prop_assert_eq!(&**a, &**b);
+    }
+    if live_hit.is_none() {
+        let data: Vec<u32> = (0..len as u32).map(|x| x + offset as u32).collect();
+        let live_out = live.insert(k, data.clone(), score);
+        let ref_out = reference.insert(k, data, score);
+        let matches = matches!(
+            (live_out, ref_out),
+            (
+                CacheInsertOutcome::Inserted,
+                reference::RefOutcome::Inserted
+            ) | (
+                CacheInsertOutcome::NotCached,
+                reference::RefOutcome::NotCached
+            )
+        ) || matches!(
+            (live_out, ref_out),
+            (
+                CacheInsertOutcome::InsertedAfterEvicting(a),
+                reference::RefOutcome::InsertedAfterEvicting(b)
+            ) if a == b
+        );
+        prop_assert!(
+            matches,
+            "insert {} diverged: {:?} vs {:?}",
+            i,
+            live_out,
+            ref_out
+        );
+    }
+    Ok(())
+}
+
+/// A long Zipf-skewed trace of variable-length rows through a buffer a few
+/// dozen rows wide: thousands of capacity and conflict evictions over a
+/// fragmented buffer, where a misplaced allocation or a different sampled
+/// victim would show within a few steps. Fixed seed, both score policies.
+#[test]
+fn long_skewed_trace_is_bit_identical_to_pre_refactor_cache() {
+    const KEYS: usize = 4_000;
+    const ACCESSES: usize = 24_000;
+    // Zipf(1.0) over KEYS ranks, sampled by inverting the cumulative weights.
+    let cdf: Vec<f64> = (1..=KEYS)
+        .scan(0.0, |acc, r| {
+            *acc += 1.0 / r as f64;
+            Some(*acc)
+        })
+        .collect();
+    let total = cdf[KEYS - 1];
+    for use_scores in [false, true] {
+        let mut cfg = ClampiConfig::always_cache(6_002, 251);
+        if use_scores {
+            cfg = cfg.with_application_scores();
+        }
+        let mut live: Clampi<u32> = Clampi::new(cfg);
+        let mut reference = reference::ReferenceCache::new(cfg);
+        let mut rng = 0x2545_f491_4f6c_dd1du64;
+        let mut max_fragmentation = 0.0f64;
+        for i in 0..ACCESSES {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            let u = (rng >> 11) as f64 / (1u64 << 53) as f64 * total;
+            let v = cdf.partition_point(|&c| c < u).min(KEYS - 1);
+            // Popular rows are long (hubs), the tail short and ragged.
+            let len = 1 + (v * 2_654_435_761) % 40 + 400 / (v + 1);
+            access_both(&mut live, &mut reference, v * 512, len, len as f64, i).unwrap();
+            assert_eq!(live.len(), reference.len(), "entry count diverged at {i}");
+            assert_eq!(live.occupied_bytes(), reference.occupied_bytes());
+            assert_eq!(live.fragmentation(), reference.fragmentation(), "at {i}");
+            max_fragmentation = max_fragmentation.max(live.fragmentation());
+        }
+        assert_stats_match(live.stats(), &reference.stats).unwrap();
+        let stats = live.stats();
+        assert!(stats.reconciles(), "{stats:?}");
+        assert!(
+            stats.evictions() >= 2_000,
+            "scores {use_scores}: only {} evictions",
+            stats.evictions()
+        );
+        assert!(
+            max_fragmentation > 0.5,
+            "scores {use_scores}: fragmentation peaked at {max_fragmentation}"
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -427,30 +545,7 @@ proptest! {
         for (i, op) in ops.into_iter().enumerate() {
             match op {
                 Op::Access { offset, len, score } => {
-                    let k = key(offset, len);
-                    let live_hit = live.lookup(k);
-                    let ref_hit = reference.lookup(k);
-                    prop_assert_eq!(live_hit.is_some(), ref_hit.is_some(), "lookup {} diverged", i);
-                    if let (Some(a), Some(b)) = (&live_hit, &ref_hit) {
-                        prop_assert_eq!(&**a, &**b);
-                    }
-                    if live_hit.is_none() {
-                        let data: Vec<u32> = (0..len as u32).map(|x| x + offset as u32).collect();
-                        let live_out = live.insert(k, data.clone(), score);
-                        let ref_out = reference.insert(k, data, score);
-                        let matches = matches!(
-                            (live_out, ref_out),
-                            (CacheInsertOutcome::Inserted, reference::RefOutcome::Inserted)
-                                | (CacheInsertOutcome::NotCached, reference::RefOutcome::NotCached)
-                        ) || matches!(
-                            (live_out, ref_out),
-                            (
-                                CacheInsertOutcome::InsertedAfterEvicting(a),
-                                reference::RefOutcome::InsertedAfterEvicting(b)
-                            ) if a == b
-                        );
-                        prop_assert!(matches, "insert {} diverged: {:?} vs {:?}", i, live_out, ref_out);
-                    }
+                    access_both(&mut live, &mut reference, offset, len, score, i)?;
                 }
                 Op::EndEpoch => {
                     live.end_epoch();
@@ -465,6 +560,7 @@ proptest! {
             prop_assert_eq!(live.occupied_bytes(), reference.occupied_bytes());
         }
         assert_stats_match(live.stats(), &reference.stats)?;
+        prop_assert!(live.stats().reconciles(), "{:?}", live.stats());
     }
 
     /// `ShardedClampi` with one shard is the identity split: it must match a
@@ -516,5 +612,6 @@ proptest! {
             prop_assert_eq!(plain.occupied_bytes(), sharded.occupied_bytes());
         }
         prop_assert_eq!(plain.stats(), &sharded.stats());
+        prop_assert!(plain.stats().reconciles(), "{:?}", plain.stats());
     }
 }

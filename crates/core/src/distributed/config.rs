@@ -24,7 +24,10 @@ pub struct CacheSpec {
     /// Total bytes reserved per rank for both CLaMPI caches.
     pub total_bytes: usize,
     /// Bytes reserved for `C_offsets`; `None` uses the paper's rule of
-    /// `0.8 · |V|` bytes (which stores (start, end) pairs for `0.4 · |V|` vertices).
+    /// `0.8 · |V|` bytes. The reader caches each vertex's (start, end) offsets
+    /// as one 16-byte pair of `u64`s, so that holds `0.05 · |V|` pairs (1,013
+    /// on the 20,269-vertex perfbench graph, where the offsets hit rate is
+    /// about 0.49).
     pub offsets_bytes: Option<usize>,
     /// Enable caching of the offsets window.
     pub cache_offsets: bool,

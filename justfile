@@ -11,9 +11,12 @@ tier1:
     cargo build --release
     cargo test -q
 
-# The member-crate and vendored-stub suites CI runs on top of tier-1.
+# The member-crate and vendored-stub suites CI runs on top of tier-1, plus
+# the cache crate's suites once more in release (no overflow checks, as the
+# library ships).
 workspace-tests:
     cargo test --workspace -q
+    cargo test -q --release -p rmatc-clampi
 
 lint:
     cargo clippy --workspace --all-targets -- -D warnings

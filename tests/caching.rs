@@ -8,13 +8,32 @@ fn skewed_graph() -> CsrGraph {
     RmatGenerator::paper(11, 16).generate_cleaned(21).into_csr()
 }
 
+/// Runs `cfg` on `g` and checks every cache statistic the run produced, per
+/// rank and merged, against its conservation laws.
+fn run_checked(cfg: DistConfig, g: &CsrGraph) -> DistResult {
+    let result = DistLcc::new(cfg).run(g);
+    let merged = [
+        result.offsets_cache_totals(),
+        result.adjacency_cache_totals(),
+    ];
+    let per_rank = result
+        .ranks
+        .iter()
+        .flat_map(|r| [&r.offsets_cache, &r.adjacency_cache]);
+    for stats in per_rank.flatten().chain(merged.iter().flatten()) {
+        assert!(stats.reconciles(), "{stats:?}");
+    }
+    result
+}
+
 #[test]
 fn caching_reduces_gets_and_communication_time() {
     let g = skewed_graph();
-    let non_cached = DistLcc::new(DistConfig::non_cached(4)).run(&g);
-    let cached =
-        DistLcc::new(DistConfig::cached(4, g.csr_size_bytes() as usize).with_degree_scores())
-            .run(&g);
+    let non_cached = run_checked(DistConfig::non_cached(4), &g);
+    let cached = run_checked(
+        DistConfig::cached(4, g.csr_size_bytes() as usize).with_degree_scores(),
+        &g,
+    );
     assert!(cached.total_gets() < non_cached.total_gets() / 2);
     assert!(cached.max_comm_time_ns() < non_cached.max_comm_time_ns());
     assert!(cached.cache_hits() > 0);
@@ -30,7 +49,7 @@ fn miss_rate_decreases_monotonically_with_cache_size() {
         cfg.cache = Some(CacheSpec::adjacencies_only(
             (adj_bytes as f64 * fraction) as usize,
         ));
-        let result = DistLcc::new(cfg).run(&g);
+        let result = run_checked(cfg, &g);
         let miss = result.adjacency_cache_totals().unwrap().miss_rate();
         assert!(
             miss <= previous_miss_rate + 0.02,
@@ -41,7 +60,7 @@ fn miss_rate_decreases_monotonically_with_cache_size() {
     // A cache as large as the adjacency data reaches (close to) the compulsory floor.
     let mut cfg = DistConfig::non_cached(2);
     cfg.cache = Some(CacheSpec::adjacencies_only(adj_bytes));
-    let result = DistLcc::new(cfg).run(&g);
+    let result = run_checked(cfg, &g);
     let stats = result.adjacency_cache_totals().unwrap();
     assert!(stats.miss_rate() < stats.compulsory_miss_rate() + 0.05);
 }
@@ -56,7 +75,7 @@ fn degree_scores_do_not_hit_less_than_lru_under_pressure() {
         let mut cfg = DistConfig::non_cached(4);
         cfg.cache = Some(CacheSpec::adjacencies_only(capacity));
         cfg.score_mode = mode;
-        DistLcc::new(cfg).run(&g)
+        run_checked(cfg, &g)
     };
     let lru = run(ScoreMode::Lru);
     let degree = run(ScoreMode::DegreeCentrality);
@@ -79,7 +98,7 @@ fn compulsory_miss_floor_grows_with_rank_count() {
     let g = skewed_graph();
     let budget = g.csr_size_bytes() as usize;
     let rate = |ranks| {
-        let result = DistLcc::new(DistConfig::cached(ranks, budget)).run(&g);
+        let result = run_checked(DistConfig::cached(ranks, budget), &g);
         result
             .adjacency_cache_totals()
             .unwrap()
@@ -96,10 +115,10 @@ fn compulsory_miss_floor_grows_with_rank_count() {
 #[test]
 fn offsets_cache_alone_already_saves_communication() {
     let g = skewed_graph();
-    let baseline = DistLcc::new(DistConfig::non_cached(2)).run(&g);
+    let baseline = run_checked(DistConfig::non_cached(2), &g);
     let mut cfg = DistConfig::non_cached(2);
     cfg.cache = Some(CacheSpec::offsets_only((g.vertex_count() + 2) * 16));
-    let cached = DistLcc::new(cfg).run(&g);
+    let cached = run_checked(cfg, &g);
     assert!(cached.max_comm_time_ns() < baseline.max_comm_time_ns());
     assert!(cached.adjacency_cache_totals().is_none());
     assert!(cached.offsets_cache_totals().unwrap().hits > 0);
@@ -114,7 +133,7 @@ fn double_buffering_never_increases_charged_communication() {
         let run = |db| {
             let mut cfg = DistConfig::non_cached(ranks);
             cfg.double_buffering = db;
-            DistLcc::new(cfg).run(&g)
+            run_checked(cfg, &g)
         };
         let with = run(true);
         let without = run(false);
@@ -170,7 +189,7 @@ fn double_buffering_reads_the_cpu_clock_once_per_vertex() {
 #[test]
 fn cache_statistics_are_internally_consistent() {
     let g = skewed_graph();
-    let result = DistLcc::new(DistConfig::cached(4, g.csr_size_bytes() as usize / 4)).run(&g);
+    let result = run_checked(DistConfig::cached(4, g.csr_size_bytes() as usize / 4), &g);
     for report in &result.ranks {
         for stats in [&report.offsets_cache, &report.adjacency_cache]
             .into_iter()
